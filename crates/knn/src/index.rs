@@ -21,7 +21,7 @@
 //! and real distance-evaluation counts.
 
 use crate::bruteforce::{push_bounded, Candidate};
-use crate::feature::{self, FeatureView};
+use crate::feature::{self, FeatureScratch, FeatureView};
 use crate::grid::UniformGrid;
 use crate::kdtree::{batch_into, sort_candidates, KdTree};
 use crate::octree::MortonOctree;
@@ -231,22 +231,27 @@ impl SearchIndex for BruteForceIndex {
     }
 }
 
-/// The feature-space backend: dense row scans over an owned row-major
+/// The feature-space backend: dense search over an owned row-major
 /// feature buffer (DGCNN's dynamic-graph search; spatial structures
 /// degenerate at feature dimensionality, so brute force is the planner's
-/// only choice there). As a [`SearchIndex`] over clouds it treats xyz as a
-/// 3-wide feature matrix; the engine's feature searches borrow arbitrary
-/// rows via [`FeatureBrute::knn_view_into`] instead.
+/// only choice there). kNN runs through [`feature::knn_rows_into`]: matmul
+/// bounds on every pair, then an exact rescore of the rows that can still
+/// make the top k, bit-identical to the scalar scan (which non-finite
+/// inputs take instead). This backend owns the packed-row and norm storage
+/// that search reuses; radius queries stay a scalar scan. As a
+/// [`SearchIndex`] over clouds it treats xyz as a 3-wide feature matrix;
+/// the engine's feature searches borrow arbitrary rows via
+/// [`FeatureBrute::knn_view_into`] instead.
 #[derive(Debug, Default)]
 pub struct FeatureBrute {
     rows: Vec<f32>,
     dim: usize,
-    scratch: Vec<Candidate>,
+    scratch: FeatureScratch,
 }
 
 impl FeatureBrute {
     /// kNN over a borrowed feature matrix, reusing this backend's scratch.
-    /// Returns the distance evaluations performed.
+    /// Returns the distance evaluations performed (`rows × queries`).
     pub fn knn_view_into(
         &mut self,
         view: FeatureView<'_>,
@@ -294,7 +299,7 @@ impl SearchIndex for FeatureBrute {
         let n = view.rows();
         let r2 = radius * radius;
         let cost = n * (*dim).max(1) * 3;
-        batch_into(out, queries, k, cost, scratch, |found, q, slot| {
+        batch_into(out, queries, k, cost, scratch.candidates(), |found, q, slot| {
             let qrow = view.row(q);
             found.clear();
             for i in 0..n {
@@ -310,8 +315,7 @@ impl SearchIndex for FeatureBrute {
     }
 
     fn storage_bytes(&self) -> usize {
-        self.rows.capacity() * std::mem::size_of::<f32>()
-            + self.scratch.capacity() * std::mem::size_of::<Candidate>()
+        self.rows.capacity() * std::mem::size_of::<f32>() + self.scratch.storage_bytes()
     }
 
     fn kind(&self) -> SearchBackend {
@@ -618,7 +622,8 @@ impl SearchContext {
     }
 
     /// Feature-space kNN over a borrowed row matrix (always the dense
-    /// scan), written into `out`.
+    /// [`FeatureBrute`] search: matmul bounds plus exact rescoring),
+    /// written into `out`.
     pub fn feature_knn_into(
         &mut self,
         view: FeatureView<'_>,

@@ -305,31 +305,43 @@ pub(crate) fn batch_into(
     scratch: &mut Vec<Candidate>,
     per_query: impl Fn(&mut Vec<Candidate>, usize, &mut [usize]) -> u64 + Sync,
 ) -> u64 {
+    let pool = crate::candidate_pool();
+    batch_chunks_into(out, queries, k, cost_per_query, scratch, pool, |best, qs, slots| {
+        qs.iter().zip(slots.chunks_exact_mut(k)).map(|(&q, slot)| per_query(best, q, slot)).sum()
+    })
+}
+
+/// [`batch_into`] at chunk granularity and over any scratch type:
+/// `per_chunk(scratch, queries, slots)` answers a contiguous run of
+/// queries into their `queries.len() × k` slots, so a backend can share
+/// work across neighboring queries (the feature search's four-query GEMM
+/// blocks). The sequential path uses `scratch`; parallel chunks check out
+/// their worker's slot of `pool`. Same chunking and ordering rules as
+/// [`batch_into`].
+pub(crate) fn batch_chunks_into<S: Send>(
+    out: &mut NeighborIndexTable,
+    queries: &[usize],
+    k: usize,
+    cost_per_query: usize,
+    scratch: &mut S,
+    pool: &mesorasi_par::ScratchPool<S>,
+    per_chunk: impl Fn(&mut S, &[usize], &mut [usize]) -> u64 + Sync,
+) -> u64 {
     let entries = queries.len();
     let (cents, neighs) = out.fill_slots(k, entries);
+    cents.copy_from_slice(queries);
     let chunk = match crate::query_tile_budget() {
         Some(budget) => budget.min(entries).max(1),
         None => mesorasi_par::chunk_len(entries, cost_per_query),
     };
     if chunk >= entries {
-        let mut evals = 0u64;
-        for (i, &q) in queries.iter().enumerate() {
-            cents[i] = q;
-            evals += per_query(scratch, q, &mut neighs[i * k..(i + 1) * k]);
-        }
-        evals
+        per_chunk(scratch, queries, neighs)
     } else {
         let total = std::sync::atomic::AtomicU64::new(0);
-        mesorasi_par::par_chunks_mut_pair(cents, neighs, chunk, chunk * k, |ci, cc, nc| {
-            crate::candidate_pool().with(|local| {
-                let mut evals = 0u64;
-                for (j, cent) in cc.iter_mut().enumerate() {
-                    let q = queries[ci * chunk + j];
-                    *cent = q;
-                    evals += per_query(local, q, &mut nc[j * k..(j + 1) * k]);
-                }
-                total.fetch_add(evals, std::sync::atomic::Ordering::Relaxed);
-            });
+        mesorasi_par::par_chunks_mut(neighs, chunk * k, |ci, nc| {
+            let qs = &queries[ci * chunk..ci * chunk + nc.len() / k];
+            let evals = pool.with(|local| per_chunk(local, qs, nc));
+            total.fetch_add(evals, std::sync::atomic::Ordering::Relaxed);
         });
         total.into_inner()
     }

@@ -12,7 +12,10 @@
 //!   brute-force cost, which is what TX2 implementations do),
 //! * [`ball`] — radius (ball) query with padding, PointNet++'s grouping,
 //! * [`feature`] — KNN in arbitrary-dimensional feature space, used by
-//!   DGCNN's dynamic graph construction,
+//!   DGCNN's dynamic graph construction: GEMM distance bounds on the
+//!   matmul tier, a filter that keeps only rows that can still make the
+//!   top k, and an exact rescore of the survivors with the scalar distance
+//!   (the scalar scan remains the fallback for non-finite inputs),
 //! * [`nit`] — the Neighbor Index Table, the `N_out × K` index structure
 //!   that the delayed-aggregation hardware streams through the NIT buffer,
 //! * [`index`] — the pluggable [`SearchIndex`] trait over every backend
@@ -104,9 +107,11 @@ pub(crate) fn candidate_pool() -> &'static mesorasi_par::ScratchPool<Vec<brutefo
     POOL.get_or_init(mesorasi_par::ScratchPool::new)
 }
 
-/// Heap bytes retained by the per-worker parallel query scratch pool
-/// (capacity across all idle slots). Surfaced through `EngineStats` so the
-/// memory-ceiling contract covers parallel search.
+/// Heap bytes retained by the per-worker query scratch pools — candidate
+/// buffers and the feature search's bound tiles (capacity across all idle
+/// slots). Surfaced through `EngineStats` so the memory-ceiling contract
+/// covers parallel search.
 pub fn parallel_scratch_bytes() -> usize {
     candidate_pool().measure_bytes(|v| v.capacity() * std::mem::size_of::<bruteforce::Candidate>())
+        + feature::tile_scratch_bytes()
 }

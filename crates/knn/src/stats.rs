@@ -30,7 +30,11 @@ pub struct SearchCounters {
     pub queries: u64,
     /// Wall time spent answering queries, in nanoseconds.
     pub query_ns: u64,
-    /// Pairwise distance evaluations performed by the backends.
+    /// Pairwise distance evaluations performed by the backends: every
+    /// (query, candidate) pair a backend scored. The feature search counts
+    /// `rows × queries` per call — each pair is scored once, as a GEMM
+    /// bound — whether or not the pair also survives to the exact rescore,
+    /// so the count measures search work, not rescoring.
     pub distance_evals: u64,
 }
 

@@ -11,7 +11,15 @@
 //! NITs bit-identical to brute force for both kNN and padded radius
 //! queries — including degenerate grids (zero-extent AABB) and k far
 //! beyond any cell's population.
+//!
+//! The last part pits the feature-space search (matmul bounds, filter,
+//! exact rescore) against its scalar reference scan on hostile inputs:
+//! awkward dimensions and query counts, duplicate and all-equal rows,
+//! norms that dwarf the distances, subnormals, and NaN/∞/overflowing rows
+//! (which must take the scalar fallback), at several tile budgets and
+//! thread counts.
 
+use mesorasi_knn::feature::{self, FeatureView};
 use mesorasi_knn::grid::UniformGrid;
 use mesorasi_knn::index::{BruteForceIndex, FeatureBrute};
 use mesorasi_knn::kdtree::KdTree;
@@ -21,6 +29,7 @@ use mesorasi_knn::{
 };
 use mesorasi_pointcloud::shapes::{sample_shape, ShapeClass};
 use mesorasi_pointcloud::{Point3, PointCloud};
+use proptest::prelude::*;
 
 fn all_queries(cloud: &PointCloud) -> Vec<usize> {
     (0..cloud.len()).collect()
@@ -318,5 +327,155 @@ fn planner_selected_backends_agree_through_the_context() {
         assert_eq!(got, knn_want, "kNN drifted under {planner:?}");
         ctx.ball_into(0, &cloud, &queries, 0.3, 10, &mut got);
         assert_eq!(got, ball_want, "ball drifted under {planner:?}");
+    }
+}
+
+/// splitmix64: a tiny deterministic stream for the feature-row families.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// Uniform in `[-1, 1)`.
+    fn unit(&mut self) -> f32 {
+        (self.next() >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+    }
+}
+
+/// Number of row families [`feature_rows`] knows.
+const FAMILIES: u64 = 8;
+
+/// `n × dim` feature rows of one hostile family:
+/// 0 uniform; 1 a large common offset (norms ≫ distances, so every row
+/// survives the filter); 2 subnormals; 3 rows drawn from three distinct
+/// rows (duplicates); 4 all rows equal; 5 uniform with one NaN/±∞ entry;
+/// 6 small integers (many exact distance ties between distinct rows);
+/// 7 magnitudes spread over 10⁻²⁰..10²⁰ (norms overflow f32).
+fn feature_rows(family: u64, n: usize, dim: usize, seed: u64) -> Vec<f32> {
+    let mut rng = Mix(seed);
+    let mut data: Vec<f32> = (0..n * dim).map(|_| rng.unit()).collect();
+    match family {
+        0 => {}
+        1 => data.iter_mut().for_each(|x| *x = 1.0e4 + *x * 1.0e-2),
+        2 => data.iter_mut().for_each(|x| *x *= 64.0 * f32::from_bits(1)),
+        3 => {
+            let distinct = n.min(3);
+            for r in distinct..n {
+                let src = rng.below(distinct);
+                data.copy_within(src * dim..(src + 1) * dim, r * dim);
+            }
+        }
+        4 => data.iter_mut().for_each(|x| *x = 0.75),
+        5 => {
+            let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.below(3)];
+            let at = rng.below(n * dim);
+            data[at] = bad;
+        }
+        6 => data.iter_mut().for_each(|x| *x = (*x * 2.5).round()),
+        7 => {
+            for r in 0..n {
+                let scale = 10f32.powi(rng.below(41) as i32 - 20);
+                data[r * dim..(r + 1) * dim].iter_mut().for_each(|x| *x *= scale);
+            }
+        }
+        _ => unreachable!("family out of range"),
+    }
+    data
+}
+
+/// Checks the GEMM-tier feature search against the scalar reference for
+/// `k ∈ {1, min(20, n), n}` at tile budgets {None, 1, 3, 256} × 1 and 2
+/// pool threads, through both the free function and a reused
+/// [`FeatureBrute`] scratch.
+fn assert_feature_search_exact(data: &[f32], dim: usize, queries: &[usize], what: &str) {
+    let view = FeatureView::new(data, dim).expect("rectangular rows");
+    let n = view.rows();
+    let mut brute = FeatureBrute::default();
+    let mut got = NeighborIndexTable::default();
+    for k in [1, n.min(20), n] {
+        let want = feature::knn_rows_reference(view, queries, k);
+        assert_eq!(feature::knn_rows(view, queries, k), want, "{what}: k {k}");
+        for threads in [1, 2] {
+            for budget in [None, Some(1), Some(3), Some(256)] {
+                mesorasi_par::with_threads(threads, || {
+                    mesorasi_knn::with_query_tile_budget(budget, || {
+                        let evals = brute.knn_view_into(view, queries, k, &mut got);
+                        assert_eq!(
+                            got, want,
+                            "{what}: k {k}, {threads} threads, budget {budget:?}"
+                        );
+                        assert_eq!(evals, (n * queries.len()) as u64, "every pair is counted");
+                    });
+                });
+            }
+        }
+    }
+}
+
+#[test]
+fn feature_search_matches_the_scalar_reference_on_every_family() {
+    // 23 rows (not a multiple of 4), every row as a query, then a
+    // scattered subset with repeats.
+    let every: Vec<usize> = (0..23).collect();
+    let scattered = [22, 0, 5, 5, 17, 3, 11];
+    for dim in [1, 2, 3, 4, 5, 15, 16, 17, 31, 64, 67, 129, 200] {
+        for family in 0..FAMILIES {
+            let data = feature_rows(family, 23, dim, 1000 * dim as u64 + family);
+            let what = format!("dim {dim}, family {family}");
+            assert_feature_search_exact(&data, dim, &every, &what);
+            assert_feature_search_exact(&data, dim, &scattered, &what);
+        }
+    }
+    // 203 rows: more than 4k, so the group-minimum first cut is live at
+    // k = 20 as well as k = 1.
+    let scattered: Vec<usize> = (0..203).step_by(14).collect();
+    for dim in [3, 17, 64] {
+        for family in 0..FAMILIES {
+            let data = feature_rows(family, 203, dim, 7000 * dim as u64 + family);
+            let what = format!("203 rows, dim {dim}, family {family}");
+            assert_feature_search_exact(&data, dim, &scattered, &what);
+        }
+    }
+}
+
+#[test]
+fn feature_search_matches_the_scalar_reference_on_hostile_extremes() {
+    // Norms of 10³⁶, distances 10¹¹ times smaller: every row survives.
+    let big: Vec<f32> = (0..40 * 8).map(|i| 1.0e18 + (i % 7) as f32 * 1.0e12).collect();
+    assert_feature_search_exact(&big, 8, &[0, 1, 2, 39, 38], "near-overflow offset");
+    // Finite rows whose norms overflow f32: the scalar fallback.
+    let edge: Vec<f32> = (0..12 * 4).map(|i| 6.0e18 * (1.0 + (i % 5) as f32)).collect();
+    assert_feature_search_exact(&edge, 4, &[0, 3, 7, 11], "headroom edge");
+    // A single row, and a row that cancels exactly against its neighbor.
+    assert_feature_search_exact(&[0.5, -0.25, 0.125], 3, &[0, 0], "single row");
+    let cancel = [1.0e-3, 1.0, 1.0e-3, 1.0 + f32::EPSILON, -1.0e-3, 1.0];
+    assert_feature_search_exact(&cancel, 2, &[0, 1, 2], "cancellation");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn feature_search_is_bit_identical_to_the_scalar_scan(
+        dim in 1usize..=200,
+        n in 1usize..=160,
+        family in 0u64..FAMILIES,
+        seed in 0u64..1 << 40,
+    ) {
+        let data = feature_rows(family, n, dim, seed);
+        let mut rng = Mix(seed ^ 0x5eed);
+        let count = 1 + rng.below(n.min(40) + 3);
+        let queries: Vec<usize> = (0..count).map(|_| rng.below(n)).collect();
+        assert_feature_search_exact(&data, dim, &queries, &format!("dim {dim}, n {n}, family {family}"));
     }
 }
