@@ -38,6 +38,16 @@ fn bench_neighbor_search(c: &mut Criterion) {
             mesorasi_knn::feature::knn_rows(view, black_box(&queries), 20)
         })
     });
+    // DGCNN's dynamic-graph search at paper scale: every one of 1024 rows
+    // queried against all of them in a 128-dimensional feature space.
+    let wide = Matrix::from_fn(1024, 128, |r, cix| ((r * 37 + cix * 11) % 101) as f32 * 0.013);
+    let all_rows: Vec<usize> = (0..1024).collect();
+    g.bench_function("feature_knn_1024x1024_d128_k20", |b| {
+        b.iter(|| {
+            let view = FeatureView::new(wide.as_slice(), 128).expect("rectangular");
+            mesorasi_knn::feature::knn_rows(view, black_box(&all_rows), 20)
+        })
+    });
     g.finish();
 }
 
@@ -47,6 +57,16 @@ fn bench_tensor_kernels(c: &mut Criterion) {
     let a = Matrix::from_fn(1024, 64, |r, cix| ((r + cix) % 13) as f32 * 0.1);
     let w = Matrix::from_fn(64, 128, |r, cix| ((r * cix) % 7) as f32 * 0.01);
     g.bench_function("matmul_1024x64x128", |b| b.iter(|| ops::matmul(black_box(&a), &w)));
+    // The two paper-scale products whose B (512×1024, 2 MiB) outgrows L2:
+    // DGCNN's fuse layer and PointNet++ SA3's widest MLP layer.
+    let w_wide = Matrix::from_fn(512, 1024, |r, cix| ((r * 5 + cix * 3) % 23) as f32 * 0.01);
+    for m in [1024, 128] {
+        let a_wide = Matrix::from_fn(m, 512, |r, cix| ((r + 2 * cix) % 29) as f32 * 0.03);
+        let mut out = Matrix::zeros(0, 0);
+        g.bench_function(format!("matmul_{m}x512x1024"), |b| {
+            b.iter(|| ops::matmul_into(black_box(&a_wide), &w_wide, &mut out))
+        });
+    }
     let pft = Matrix::from_fn(1024, 128, |r, cix| ((r * 3 + cix) % 19) as f32);
     let cloud = cloud_1k();
     let centroids = random_indices(&cloud, 512, 1);

@@ -559,8 +559,9 @@ pub struct EngineStats {
     /// when the engine runs untiled, cost-model chunked).
     pub tile_budget: Option<usize>,
     /// Heap bytes retained by the process-wide per-worker search scratch
-    /// pool (the parallel half of the memory-ceiling contract; shared
-    /// across engines, bounded by worker count).
+    /// pool plus the per-thread matmul pack buffers (the parallel half of
+    /// the memory-ceiling contract; shared across engines, bounded by
+    /// worker and caller thread count).
     pub parallel_scratch_bytes: usize,
 }
 
@@ -823,7 +824,8 @@ impl PlanEngine {
             cache: c.samples.stats(),
             pager: c.search.pager_stats(),
             tile_budget: self.tile_budget,
-            parallel_scratch_bytes: mesorasi_knn::parallel_scratch_bytes(),
+            parallel_scratch_bytes: mesorasi_knn::parallel_scratch_bytes()
+                + mesorasi_tensor::ops::pack_scratch_bytes(),
         })
     }
 

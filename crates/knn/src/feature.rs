@@ -10,9 +10,10 @@
 //!
 //! The dense search runs on the matmul tier and stays exact. Expanding
 //! `‖q − p‖² = ‖q‖² + ‖p‖² − 2q·p` turns every query block into a GEMM
-//! against the packed rows ([`mesorasi_tensor::simd::mm4`]), but its
-//! rounding differs from the scalar [`distance_squared`] the ranking is
-//! defined by. So the GEMM value only *bounds* each distance, within a
+//! against the rows packed as panel-major `Pᵀ`
+//! ([`mesorasi_tensor::panel::Panels`], walked panel by panel through
+//! [`mesorasi_tensor::simd::mm4`]), but its rounding differs from the
+//! scalar [`distance_squared`] the ranking is defined by. So the GEMM value only *bounds* each distance, within a
 //! rigorous per-pair error `ε`. Rows whose lower bound cannot beat the
 //! k-th best upper bound are dropped, and the few survivors (about `k`
 //! per query) are rescored with [`distance_squared`] and the shared
@@ -24,7 +25,7 @@ use crate::bruteforce::{push_bounded, Candidate};
 use crate::kdtree::batch_chunks_into;
 use crate::NeighborIndexTable;
 use mesorasi_par::ScratchPool;
-use mesorasi_tensor::simd;
+use mesorasi_tensor::panel::Panels;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -122,9 +123,9 @@ pub fn knn_rows_reference(
 }
 
 /// Caller-owned storage for [`knn_rows_into`]: the packed candidate matrix
-/// `Pᵀ` (`dim × rows`, the `B` operand of the matmul micro-kernel), the
-/// rows' squared norms, and the sequential path's bound tile. Capacity is
-/// kept across calls, so a warm caller never allocates.
+/// `Pᵀ` (`dim × rows` in panel-major order, the `B` operand of the matmul
+/// panel walk), the rows' squared norms, and the sequential path's bound
+/// tile. Capacity is kept across calls, so a warm caller never allocates.
 #[derive(Debug, Default)]
 pub struct FeatureScratch {
     packed: Vec<f32>,
@@ -144,10 +145,12 @@ impl FeatureScratch {
         &mut self.tile.best
     }
 
-    /// Packs `view` as `Pᵀ`, fills the row norms, and returns the bound
-    /// for this call, or `None` when some row norm is not finite, twice
-    /// the largest norm leaves no overflow headroom, or `dim` is too large
-    /// for the bound — then every query takes the scalar scan.
+    /// Packs `view` as panel-major `Pᵀ` (16-row panels of `view`, each a
+    /// contiguous `dim × 16` block; see [`Panels::pack_transposed`]),
+    /// fills the row norms, and returns the bound for this call, or `None`
+    /// when some row norm is not finite, twice the largest norm leaves no
+    /// overflow headroom, or `dim` is too large for the bound — then every
+    /// query takes the scalar scan.
     fn pack(&mut self, view: FeatureView<'_>) -> Option<Bound> {
         let (n, dim) = (view.rows(), view.dim());
         self.norms.clear();
@@ -161,13 +164,7 @@ impl FeatureScratch {
         if !(max_norm * 8.0).is_finite() || !bound.slope.is_finite() {
             return None;
         }
-        self.packed.clear();
-        self.packed.resize(dim * n, 0.0);
-        for i in 0..n {
-            for (c, &x) in view.row(i).iter().enumerate() {
-                self.packed[c * n + i] = x;
-            }
-        }
+        Panels::pack_transposed(view.data, dim, &mut self.packed);
         Some(bound)
     }
 }
@@ -269,10 +266,11 @@ pub(crate) fn tile_scratch_bytes() -> usize {
 /// scratch. Returns the number of distance evaluations, counted as every
 /// scored pair (`rows × queries`) whichever way a pair is scored.
 ///
-/// The search is exact in two steps. **Bounds:** with `Pᵀ` packed once per
-/// call, the matmul micro-kernel ([`mesorasi_tensor::simd::mm4`], four
-/// queries at a time) yields every `q·p`, hence
-/// `d′ = ‖q‖² + ‖p‖² − 2q·p` and a rigorous error bound `ε` with
+/// The search is exact in two steps. **Bounds:** with `Pᵀ` packed
+/// panel-major once per call, the matmul panel walk
+/// ([`mesorasi_tensor::panel::Panels::mul_rows`]: four queries at a time,
+/// one 16-row panel after another through [`mesorasi_tensor::simd::mm4`])
+/// yields every `q·p`, hence `d′ = ‖q‖² + ‖p‖² − 2q·p` and a rigorous error bound `ε` with
 /// `|d′ − d_ref| ≤ ε` against the scalar [`distance_squared`] (derived on
 /// `Bound`). **Filter and rescore:** with `U` the `k`-th smallest upper
 /// bound `d′ + ε`, every row whose lower bound `d′ − ε` is at most `U` is
@@ -297,12 +295,17 @@ pub fn knn_rows_into(
     assert!(k > 0 && k <= n, "k = {k} out of range for {n} rows");
     let bound = scratch.pack(view);
     let FeatureScratch { packed, norms, tile } = scratch;
-    let (packed, norms) = (&packed[..], &norms[..]);
+    let rows = bound.map(|bound| Rows {
+        view,
+        packed: Panels::from_packed(packed, view.dim(), n),
+        norms,
+        bound,
+    });
     // One multiply-add per (row, column) on the GEMM tier.
     let cost = n * view.dim();
     batch_chunks_into(out, queries, k, cost, tile, tile_pool(), |tile, qs, slots| {
-        match bound {
-            Some(bound) => Rows { view, packed, norms, bound }.search_chunk(qs, k, slots, tile),
+        match rows {
+            Some(rows) => rows.search_chunk(qs, k, slots, tile),
             None => {
                 for (&q, slot) in qs.iter().zip(slots.chunks_exact_mut(k)) {
                     scan_query(view, q, k, &mut tile.best, slot);
@@ -339,32 +342,20 @@ fn write_slot(best: &[Candidate], slot: &mut [usize]) {
 #[derive(Clone, Copy)]
 struct Rows<'a> {
     view: FeatureView<'a>,
-    packed: &'a [f32],
+    packed: Panels<'a>,
     norms: &'a [f32],
     bound: Bound,
 }
 
 impl Rows<'_> {
-    /// Answers `qs` into their slots, four queries per matmul block.
+    /// Answers `qs` into their slots, four queries per panel walk.
     fn search_chunk(self, qs: &[usize], k: usize, slots: &mut [usize], tile: &mut BoundTile) {
         let n = self.view.rows();
         if tile.dots.len() < 4 * n {
             tile.dots.resize(4 * n, 0.0);
         }
         for (qb, sb) in qs.chunks(4).zip(slots.chunks_mut(4 * k)) {
-            let dots = &mut tile.dots[..4 * n];
-            if let [q0, q1, q2, q3] = *qb {
-                let (d0, rest) = dots.split_at_mut(n);
-                let (d1, rest) = rest.split_at_mut(n);
-                let (d2, d3) = rest.split_at_mut(n);
-                let a =
-                    [self.view.row(q0), self.view.row(q1), self.view.row(q2), self.view.row(q3)];
-                simd::mm4(a, self.packed, n, [d0, d1, d2, d3]);
-            } else {
-                for (&q, d) in qb.iter().zip(dots.chunks_exact_mut(n)) {
-                    simd::mm1(self.view.row(q), self.packed, n, d);
-                }
-            }
+            self.packed.mul_rows(|r| self.view.row(qb[r]), &mut tile.dots[..qb.len() * n]);
             for (r, (&q, slot)) in qb.iter().zip(sb.chunks_exact_mut(k)).enumerate() {
                 self.filter_and_rescore(q, k, r * n..(r + 1) * n, tile);
                 write_slot(&tile.best, slot);

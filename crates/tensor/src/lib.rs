@@ -27,9 +27,10 @@
 //!
 //! # Kernel tiers and dtypes
 //!
-//! The matmul family runs through cache-blocked, register-tiled
-//! micro-kernels ([`simd`] supplies the vector inner loops behind runtime
-//! detection; the `simd` cargo feature, on by default, gates them). The
+//! The matmul family runs through register-tiled micro-kernels ([`simd`]
+//! supplies the vector inner loops behind runtime detection; the `simd`
+//! cargo feature, on by default, gates them), cache-blocked by packing
+//! `B` panel-major ([`panel`]) from 16 output rows up. The
 //! pre-tier loops survive as [`ops::naive`] — the bit-identical semantics
 //! reference. [`Matrix64`] and [`ops64`] carry the `f64` shadow-precision
 //! tier: sequential, deterministic mirrors of every forward kernel, used
@@ -45,6 +46,7 @@ pub mod matrix;
 pub mod matrix64;
 pub mod ops;
 pub mod ops64;
+pub mod panel;
 pub mod simd;
 
 pub use matrix::Matrix;

@@ -8,13 +8,14 @@
 //!
 //! # The fast tier and the [`naive`] reference
 //!
-//! The three matmul variants run through cache-blocked, register-tiled
-//! micro-kernels built on [`crate::simd`] (AVX2 behind runtime detection,
-//! auto-vectorizable block-accumulator scalar otherwise). The pre-tier
-//! kernels are
-//! preserved verbatim in [`naive`]: they are the semantics reference the
-//! property tests compare against, and the `"naive"` backend the bench
-//! harness records so every `BENCH_*.json` carries the measured speedup.
+//! The three matmul variants run through register-tiled micro-kernels
+//! built on [`crate::simd`] (AVX2 behind runtime detection,
+//! auto-vectorizable block-accumulator scalar otherwise); [`matmul_into`]
+//! also packs `B` panel-major ([`crate::panel`]) so large products stay
+//! cache-blocked. The pre-tier kernels are preserved verbatim in
+//! [`naive`]: they are the semantics reference the property tests compare
+//! against, and the `"naive"` backend the bench harness records so every
+//! `BENCH_*.json` carries the measured speedup.
 //!
 //! Fast tier and reference are **bit-identical for finite inputs**: every
 //! output element accumulates its products in ascending-`p` order in both
@@ -28,8 +29,11 @@
 //! `+0.0 + ±0.0 == +0.0` and exact cancellation rounds to `+0.0`, so
 //! `x + ±0.0 == x` bitwise throughout the chain).
 
+use crate::panel::Panels;
 use crate::{simd, Matrix};
 use mesorasi_par as par;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// `A · B` for `A: m×k`, `B: k×n`, parallel over output rows.
 ///
@@ -50,10 +54,20 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 /// `p` walk — each `B` row segment is loaded once per four output rows,
 /// and each output element is written exactly once (the naive kernel
 /// re-reads and re-writes the output row on every `p` step, which is what
-/// makes it memory-bound). The column panels double as cache blocking: a
-/// 16-column slice of `B` (`k × 64` bytes) stays L1-resident across the
-/// `p` walk. Per output element the products still accumulate in
-/// ascending-`p` order, so the result is bit-identical to
+/// makes it memory-bound).
+///
+/// Cache blocking: from 16 output rows up (`PACK_MIN_ROWS`), `B` is first
+/// packed panel-major ([`Panels`]: 16-column panels, each a contiguous
+/// `k × 16` block) into a buffer owned by the calling thread. Each
+/// parallel row chunk then walks row blocks of about 128 KiB of `A`, and
+/// within a block panel by panel, every quad of the block against one
+/// panel ([`Panels::mul_rows`]). A panel is read from cache by all the
+/// quads of a block, and `B` is streamed once per row block instead of
+/// once per quad. Smaller products walk row-major `B` in place as a single
+/// panel ([`Panels::row_major`]: each quad over all `n` columns), where
+/// copying `B` would cost more than it saves. Per output element the
+/// products accumulate in ascending-`p` order either way, so the result
+/// is bit-identical to
 /// [`naive::matmul_into`] for finite inputs (see the module docs; the
 /// reference's sparse zero-skip becomes `±0.0` additions here).
 ///
@@ -69,33 +83,72 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         return;
     }
     let row_chunk = par::chunk_len(m, 2 * k * n);
-    par::par_chunks_mut(out.as_mut_slice(), row_chunk * n, |ci, chunk| {
-        let first = ci * row_chunk;
-        let rows_here = chunk.len() / n;
-        let mut ri = 0;
-        while ri + 4 <= rows_here {
-            let quad = &mut chunk[ri * n..(ri + 4) * n];
-            let (r0, rest) = quad.split_at_mut(n);
-            let (r1, rest) = rest.split_at_mut(n);
-            let (r2, r3) = rest.split_at_mut(n);
-            simd::mm4(
-                [
-                    a.row(first + ri),
-                    a.row(first + ri + 1),
-                    a.row(first + ri + 2),
-                    a.row(first + ri + 3),
-                ],
-                b.as_slice(),
-                n,
-                [r0, r1, r2, r3],
-            );
-            ri += 4;
-        }
-        while ri < rows_here {
-            simd::mm1(a.row(first + ri), b.as_slice(), n, &mut chunk[ri * n..(ri + 1) * n]);
-            ri += 1;
-        }
-    });
+    let block_rows = (BLOCK_A_FLOATS / k.max(1)).max(4) / 4 * 4;
+    let mut walk = |panels: Panels<'_>| {
+        par::par_chunks_mut(out.as_mut_slice(), row_chunk * n, |ci, chunk| {
+            let first = ci * row_chunk;
+            for (bi, block) in chunk.chunks_mut(block_rows * n).enumerate() {
+                let block_first = first + bi * block_rows;
+                panels.mul_rows(|r| a.row(block_first + r), block);
+            }
+        });
+    };
+    if m < PACK_MIN_ROWS {
+        walk(Panels::row_major(b.as_slice(), k, n));
+    } else {
+        with_packed_b(b, walk);
+    }
+}
+
+/// Row count from which [`matmul_into`] packs `B` panel-major. Below it
+/// (batch-1 and micro-batched heads) the one-off copy of `B` costs more
+/// than the cache reuse gains.
+const PACK_MIN_ROWS: usize = 16;
+
+/// `A` elements per row block of the packed walk: 128 KiB of `f32`, so a
+/// block stays in L2 while every panel of `B` passes over it.
+const BLOCK_A_FLOATS: usize = 32 * 1024;
+
+/// Process-wide heap bytes retained by the per-thread pack buffers.
+static PACK_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// One thread's pack buffer: it only grows, and its capacity is counted
+/// in [`PACK_BYTES`] until the thread exits.
+#[derive(Default)]
+struct PackBuffer(Vec<f32>);
+
+impl Drop for PackBuffer {
+    fn drop(&mut self) {
+        PACK_BYTES.fetch_sub(self.0.capacity() * std::mem::size_of::<f32>(), Ordering::Relaxed);
+    }
+}
+
+thread_local! {
+    static PACK_BUFFER: Cell<PackBuffer> = Cell::new(PackBuffer::default());
+}
+
+/// Runs `f` on `b` packed panel-major into the calling thread's pack
+/// buffer, so concurrent callers (one per session or server dispatcher)
+/// never wait on each other and a warm caller never allocates. The buffer
+/// is taken out of its slot for the call, so a nested call on the same
+/// thread gets a fresh one instead of a conflicting borrow.
+fn with_packed_b(b: &Matrix, f: impl FnOnce(Panels<'_>)) {
+    let mut buf = PACK_BUFFER.with(Cell::take);
+    let before = buf.0.capacity();
+    buf.0.clear();
+    buf.0.reserve(b.rows() * b.cols());
+    // Counted before `f` runs, so an unwind through `f` drops exactly
+    // what was counted.
+    PACK_BYTES
+        .fetch_add((buf.0.capacity() - before) * std::mem::size_of::<f32>(), Ordering::Relaxed);
+    f(Panels::pack(b.as_slice(), b.rows(), b.cols(), &mut buf.0));
+    PACK_BUFFER.with(|slot| slot.set(buf));
+}
+
+/// Heap bytes retained by [`matmul_into`]'s pack buffers, summed over the
+/// process's live threads (capacity, not length).
+pub fn pack_scratch_bytes() -> usize {
+    PACK_BYTES.load(Ordering::Relaxed)
 }
 
 /// `Aᵀ · B` for `A: k×m`, `B: k×n` — the weight-gradient product of a
@@ -826,11 +879,25 @@ mod tests {
         })
     }
 
+    /// Asserts `matmul_into` equals `naive::matmul_into` bit for bit at 1
+    /// and 2 pool threads.
+    fn assert_matmul_matches_naive(a: &Matrix, b: &Matrix, what: &str) {
+        let mut reference = Matrix::zeros(0, 0);
+        naive::matmul_into(a, b, &mut reference);
+        for threads in [1, 2] {
+            let mut fast = Matrix::zeros(0, 0);
+            par::with_threads(threads, || matmul_into(a, b, &mut fast));
+            assert!(fast == reference, "{what} at {threads} threads");
+        }
+    }
+
     #[test]
     fn blocked_matmul_is_bit_identical_to_naive() {
-        // Shapes straddle every block boundary: odd rows (the unpaired
-        // tail), k below/at/above MATMUL_KC, n not a multiple of the
-        // vector width, and degenerate edges (K=0, 1×N, empty).
+        // Shapes straddle every boundary of the two walks: m across the
+        // pack rule (`PACK_MIN_ROWS` = 16) and the quad tails, n across the
+        // 16-column panels and their tails (n mod 16 of 15, 0, 1, 8), k large
+        // enough for several row blocks per chunk (k = 512: 64-row blocks),
+        // and degenerate edges (K=0, 1×N, empty).
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
             (1, 7, 9),
@@ -841,17 +908,61 @@ mod tests {
             (7, 130, 33),
             (16, 128, 128),
             (9, 200, 1),
+            (15, 33, 15),
+            (16, 0, 17),
+            (16, 64, 16),
+            (17, 40, 17),
+            (33, 9, 1000),
+            (15, 512, 40),
+            (16, 512, 15),
+            (17, 512, 16),
+            (33, 512, 17),
+            (150, 512, 24),
         ] {
             for zero_every in [0, 2, 3] {
                 let a = noisy(m, k, 11, zero_every);
                 let b = noisy(k, n, 23, 0);
-                let mut fast = Matrix::zeros(0, 0);
-                let mut reference = Matrix::zeros(0, 0);
-                matmul_into(&a, &b, &mut fast);
-                naive::matmul_into(&a, &b, &mut reference);
-                assert_eq!(fast, reference, "matmul {m}×{k}×{n} zeros 1/{zero_every}");
+                assert_matmul_matches_naive(
+                    &a,
+                    &b,
+                    &format!("matmul {m}×{k}×{n} zeros 1/{zero_every}"),
+                );
             }
         }
+    }
+
+    #[test]
+    #[ignore = "paper-scale shapes; run in release with --ignored"]
+    fn paper_scale_matmul_is_bit_identical_to_naive() {
+        // DGCNN's 512→1024 fuse layer and PointNet++ SA3's 512→1024 MLP
+        // layer, the two products whose B does not fit in L2.
+        for (m, k, n) in [(1024usize, 512usize, 1024usize), (128, 512, 1024)] {
+            let a = noisy(m, k, 71, 5);
+            let b = noisy(k, n, 73, 0);
+            assert_matmul_matches_naive(&a, &b, &format!("matmul {m}×{k}×{n}"));
+        }
+    }
+
+    #[test]
+    fn pack_buffer_is_counted_and_reused() {
+        let a = noisy(PACK_MIN_ROWS, 24, 1, 0);
+        let b = noisy(24, 40, 2, 0);
+        let mut out = Matrix::zeros(0, 0);
+        par::with_threads(1, || matmul_into(&a, &b, &mut out));
+        let this_thread = || {
+            PACK_BUFFER.with(|slot| {
+                let buf = slot.take();
+                let bytes = buf.0.capacity() * std::mem::size_of::<f32>();
+                slot.set(buf);
+                bytes
+            })
+        };
+        let after_first = this_thread();
+        assert!(after_first >= 24 * 40 * std::mem::size_of::<f32>(), "B was packed");
+        assert!(pack_scratch_bytes() >= after_first, "this thread's buffer is counted");
+        par::with_threads(1, || matmul_into(&a, &b, &mut out));
+        let again = this_thread();
+        assert_eq!(again, after_first, "a warm call reuses the buffer");
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //!   16-column output tile lives entirely in registers while the kernel
 //!   walks `p` over the shared dimension, so the hot loop touches memory
 //!   only to read `A` coefficients and stream rows of `B`; each output
-//!   element is stored exactly once. Per element the products accumulate
+//!   element is stored exactly once. They read `B` as row-major `k × n`
+//!   with any `n`: the packed callers ([`crate::panel::Panels`]) pass one
+//!   contiguous 16-column panel at a time, so the rows of `B` they stream
+//!   sit 64 bytes apart instead of `4n`. Per element the products accumulate
 //!   in ascending-`p` order with separate `mul` and `add` instructions,
 //!   which is the whole bit-identity contract: any lane width (8-lane
 //!   AVX2, auto-vectorized scalar) produces the same rounding sequence.
@@ -53,9 +56,11 @@ pub fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
 /// Four-row matmul block: `out[r][j] = Σ_p a[r][p] · b[p·n + j]` for the
 /// row-major `k × n` matrix `b`, overwriting each `out[r]` completely.
 ///
-/// This is the register-tiled heart of [`crate::ops::matmul_into`]: four
-/// output rows share every load of a `B` row, and the output tile stays in
-/// registers for the whole `p` walk (each element accumulates in ascending
+/// This is the register-tiled heart of [`crate::ops::matmul_into`] and of
+/// the panel walk [`crate::panel::Panels::mul_rows`] (which calls it with
+/// one panel as `b` and the panel width as `n`): four output rows share
+/// every load of a `B` row, and the output tile stays in registers for
+/// the whole `p` walk (each element accumulates in ascending
 /// `p`, one `mul` + one `add` per step — bit-identical to the naive
 /// kernel on finite inputs).
 ///

@@ -28,7 +28,8 @@
 //!    allocations — job dispatch reuses retired headers and every worker
 //!    draws search scratch from its `ScratchPool` slot (both networks);
 //! 6. the heap-ceiling audit: once warm, `EngineStats` byte totals
-//!    (tensor arena + search arena + parallel scratch pool) are frozen —
+//!    (tensor arena + search arena + parallel scratch: the per-worker
+//!    search pools and the per-thread matmul pack buffers) are frozen —
 //!    further frames neither grow a slot nor retain new storage (both
 //!    networks).
 
@@ -278,10 +279,11 @@ fn warm_tiled_stream_holds_a_hard_heap_ceiling() {
     // The memory-ceiling half of the contract: beyond "no allocator
     // calls", the bytes already *retained* must stop moving once warm.
     // Tensor-arena peak, search-arena retention (packed feature rows
-    // included), and the process-wide per-worker scratch pools are all
-    // captured after warm-up and must be bit-for-bit unchanged after
-    // further frames — and no arena slot may ever grow past its planned
-    // capacity.
+    // included), and the process-wide per-worker scratch pools and
+    // per-thread matmul pack buffers (both networks have products of 16
+    // rows or more, which pack `B`) are all captured after warm-up and
+    // must be bit-for-bit unchanged after further frames — and no arena
+    // slot may ever grow past its planned capacity.
     let _audit = audit_lock();
     mesorasi_par::with_threads(2, || {
         for kind in STREAMED {
